@@ -1,73 +1,20 @@
-FUZZTIME ?= 10s
-FUZZ_TARGETS := FuzzParseWKT FuzzParseGeoJSON FuzzClipRoundTrip FuzzClipAllEngines
-CHAOS_SEED ?= 1
-CHAOS_CASES ?= 200
-COVER_FLOOR ?= 80
-COVER_PKGS := ./internal/vatti/ ./internal/arrange/ ./internal/engine/ ./internal/scanbeam/ ./internal/serve/ ./internal/core/ ./internal/overlay/ ./internal/pool/ ./internal/par/ ./internal/batch/ ./internal/acache/
-# The tile-cutting fast paths carry a higher floor: a missed branch there is
-# a silently wrong tile, not a slow one.
-COVER_FLOOR_TILES ?= 85
-COVER_PKGS_TILES := ./internal/prepared/ ./internal/tile/
+# Every verification step lives in scripts/check.sh, the one CI path:
+# `make check` runs all of it, and each step target below runs one step.
+# Its tunables pass through the environment, e.g.
+# `make chaos CHAOS_CASES=50` or `make fuzz FUZZTIME=10m`.
+export FUZZTIME CHAOS_SEED CHAOS_CASES COVER_FLOOR COVER_FLOOR_TILES
+CHECK := sh scripts/check.sh
 
 PROFILE_EXP ?= table2
 PROFILE_DIR ?= /tmp/polyclip-prof
 
-.PHONY: check build vet test cover race differential conformance fuzz chaos profile clipd loadtest bench scaling overlay-bench tile-bench
+.PHONY: check build vet test cover race differential conformance fuzz chaos tilecut profile clipd loadtest bench scaling overlay-bench tile-bench
 
-check: vet build test cover race differential conformance fuzz chaos
+check:
+	$(CHECK)
 
-build:
-	go build ./...
-
-vet:
-	go vet ./...
-
-test:
-	go test ./...
-
-# Per-package statement-coverage floor for the engine packages whose
-# correctness the differential oracles lean on.
-cover:
-	@for pkg in $(COVER_PKGS); do \
-		pct=$$(go test -cover $$pkg | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
-		if [ -z "$$pct" ]; then echo "could not parse coverage for $$pkg"; exit 1; fi; \
-		if ! awk -v p="$$pct" -v f="$(COVER_FLOOR)" 'BEGIN{exit !(p >= f)}'; then \
-			echo "coverage for $$pkg is $$pct%, below the $(COVER_FLOOR)% floor"; exit 1; \
-		fi; \
-		echo "$$pkg: $$pct%"; \
-	done
-	@for pkg in $(COVER_PKGS_TILES); do \
-		pct=$$(go test -cover $$pkg | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p'); \
-		if [ -z "$$pct" ]; then echo "could not parse coverage for $$pkg"; exit 1; fi; \
-		if ! awk -v p="$$pct" -v f="$(COVER_FLOOR_TILES)" 'BEGIN{exit !(p >= f)}'; then \
-			echo "coverage for $$pkg is $$pct%, below the $(COVER_FLOOR_TILES)% floor"; exit 1; \
-		fi; \
-		echo "$$pkg: $$pct%"; \
-	done
-
-race:
-	go test -race ./...
-
-# The golden-file differential corpus must agree across all engines
-# with the race detector watching the parallel ones.
-differential:
-	go test -race -run TestDifferentialCorpus .
-
-# Engine conformance: every registered engine against the golden corpus,
-# the rule x op capability matrix, trapezoid declarations, cancellation.
-conformance:
-	go test -race -run TestConformance ./internal/engine/
-
-# Each native fuzz target gets a short smoke run; raise FUZZTIME for real
-# fuzzing sessions (e.g. make fuzz FUZZTIME=10m). FuzzServeRequest lives in
-# internal/serve and fuzzes the whole HTTP serving path.
-fuzz:
-	@for t in $(FUZZ_TARGETS); do \
-		echo "fuzz $$t ($(FUZZTIME))"; \
-		go test -run='^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) . || exit 1; \
-	done
-	@echo "fuzz FuzzServeRequest ($(FUZZTIME))"
-	go test -run='^$$' -fuzz='^FuzzServeRequest$$' -fuzztime=$(FUZZTIME) ./internal/serve/
+build vet test cover race differential conformance fuzz chaos tilecut:
+	$(CHECK) $@
 
 # CPU and heap profiles of one bench experiment (default table2, the
 # scanbeam hot path). Inspect with `go tool pprof $(PROFILE_DIR)/cpu.prof`.
@@ -76,20 +23,6 @@ profile:
 	go run ./cmd/bench -exp $(PROFILE_EXP) \
 		-cpuprofile $(PROFILE_DIR)/cpu.prof -memprofile $(PROFILE_DIR)/mem.prof
 	@echo "profiles in $(PROFILE_DIR): cpu.prof mem.prof"
-
-# Deterministic chaos sweeps: a clean invariant run, a faulted run (every
-# case takes one injected panic/hang/corruption), and a budgeted faulted run
-# that exercises the stage watchdog, plus a degenerate-taxonomy sweep
-# (seed 7: exact coincidences — shared edges, collinear overlaps,
-# T-vertices, coincident rings — under every fill rule) and a tiling sweep
-# (seed 5: pyramid partition invariants across all rules). Same seed, same
-# cases, same verdict.
-chaos:
-	go run ./cmd/chaos -seed $(CHAOS_SEED) -cases $(CHAOS_CASES)
-	go run ./cmd/chaos -seed $(CHAOS_SEED) -cases $(CHAOS_CASES) -faults
-	go run ./cmd/chaos -seed $(CHAOS_SEED) -cases 60 -faults -budget 500ms
-	go run ./cmd/chaos -seed 7 -cases 320 -family degenerate
-	go run ./cmd/chaos -seed 5 -cases 120 -family tiles
 
 # Short scaling smoke: one iteration of the two scaling benchmarks at 1 and
 # 2 workers — enough to catch a pool regression (deadlock, lost task, gross

@@ -1,18 +1,18 @@
 // Package acache is the arrangement cache of the batch overlay: a
 // byte-bounded LRU over canonical geometry digests (geom.Hash) with
 // singleflight admission, so repeated operands — shared basemaps, common
-// clip masks, duplicated features — pay for arrangement resolution and
-// clipping once per distinct geometry instead of once per occurrence.
+// clip masks, duplicated features — pay for clipping once per distinct
+// operand pair, and tile layers for canonicalization once per distinct
+// layer, instead of once per occurrence.
 //
 // Two tiers share one LRU budget:
 //
-//   - the resolve tier memoizes arrange.ResolvePair/ResolvePairWinding
-//     output for an operand pair, keyed by (digest A, digest B, rule
-//     family); engines honoring engine.Options.PreResolved then skip their
-//     own resolution pass;
-//   - the clip tier memoizes whole clip results, keyed additionally by the
-//     engine name and the (op, rule) pair — sound because equal digests
-//     mean equal operands and every engine is deterministic.
+//   - the clip tier memoizes whole clip results, keyed by (digest A,
+//     digest B, engine name, op, rule) — sound because equal digests mean
+//     equal operands and every engine is deterministic;
+//   - the prepare tier memoizes one layer's canonical form
+//     (prepared.Canonicalize), keyed by (digest, rule), for the tile
+//     pyramid driver.
 //
 // Values are immutable once inserted (the pipeline never mutates polygons
 // it was handed), so cached polygons are shared across goroutines without
@@ -23,22 +23,20 @@ import (
 	"container/list"
 	"sync"
 
-	"polyclip/internal/arrange"
 	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 )
 
 // value kinds, part of the cache key so the tiers cannot collide.
 const (
-	kindResolve = 1
-	kindClip    = 2
-	kindPrepare = 3
+	kindClip = iota + 1
+	kindPrepare
 )
 
 // Key identifies one cached computation.
 type Key struct {
 	A, B geom.Digest
-	Eng  uint64 // engine-name hash, 0 for the resolve tier
+	Eng  uint64 // engine-name hash, 0 for the prepare tier
 	Op   uint8
 	Rule uint8
 	Kind uint8
@@ -235,38 +233,6 @@ func (c *Cache) lead(e *entry, compute func() []geom.Polygon) []geom.Polygon {
 	c.mu.Unlock()
 	close(ready)
 	return val
-}
-
-// resolveRuleKey collapses the fill rule to the resolution family: EvenOdd
-// uses arrange.ResolvePair, every winding rule shares ResolvePairWinding.
-func resolveRuleKey(rule engine.FillRule) uint8 {
-	if rule == engine.EvenOdd {
-		return 0
-	}
-	return 1
-}
-
-// ResolvePair returns the joint arrangement resolution of (a, b) under the
-// rule's resolution family, computing and caching it on first sight of the
-// digest pair. da/db are the operands' digests (computed by the caller,
-// which needs them for the clip tier anyway). On a nil cache it resolves
-// directly.
-func (c *Cache) ResolvePair(a, b geom.Polygon, da, db geom.Digest, rule engine.FillRule) (geom.Polygon, geom.Polygon) {
-	compute := func() []geom.Polygon {
-		var ra, rb geom.Polygon
-		if rule == engine.EvenOdd {
-			ra, rb = arrange.ResolvePair(a, b)
-		} else {
-			ra, rb = arrange.ResolvePairWinding(a, b)
-		}
-		return []geom.Polygon{ra, rb}
-	}
-	if c == nil {
-		v := compute()
-		return v[0], v[1]
-	}
-	v := c.do(Key{A: da, B: db, Rule: resolveRuleKey(rule), Kind: kindResolve}, compute)
-	return v[0], v[1]
 }
 
 // engHash hashes an engine name for the clip-tier key (FNV-1a).

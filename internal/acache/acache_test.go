@@ -19,17 +19,14 @@ func square(x, y, s float64) geom.Polygon {
 func TestNilCacheBypasses(t *testing.T) {
 	var c *Cache
 	a, b := square(0, 0, 2), square(1, 1, 2)
-	ra, rb := c.ResolvePair(a, b, geom.Hash(a), geom.Hash(b), engine.EvenOdd)
-	if len(ra) == 0 || len(rb) == 0 {
-		t.Fatal("nil cache dropped the resolution")
-	}
 	n := 0
 	for i := 0; i < 2; i++ {
 		c.Clip(geom.Hash(a), geom.Hash(b), engine.Intersection, engine.EvenOdd, "vatti",
 			func() geom.Polygon { n++; return a })
+		c.Prepared(geom.Hash(a), engine.EvenOdd, func() geom.Polygon { n++; return a })
 	}
-	if n != 2 {
-		t.Fatalf("nil cache memoized: %d computes, want 2", n)
+	if n != 4 {
+		t.Fatalf("nil cache memoized: %d computes, want 4", n)
 	}
 	if s := c.Stats(); s != (Stats{}) {
 		t.Fatalf("nil cache stats non-zero: %+v", s)
@@ -68,31 +65,16 @@ func TestHitMissAndDeterministicValue(t *testing.T) {
 	if got := s.HitRate(); got != 0.2 {
 		t.Fatalf("hit rate %v, want 0.2", got)
 	}
-}
-
-func TestResolvePairCachedMatchesDirect(t *testing.T) {
-	c := New(1 << 20)
-	a, b := square(0, 0, 4), square(2, 2, 4) // overlapping: resolution splits edges
-	da, db := geom.Hash(a), geom.Hash(b)
-	for _, rule := range []engine.FillRule{engine.EvenOdd, engine.NonZero} {
-		ca, cb := c.ResolvePair(a, b, da, db, rule)
-		var nc *Cache
-		wa, wb := nc.ResolvePair(a, b, da, db, rule)
-		if fmt.Sprint(ca) != fmt.Sprint(wa) || fmt.Sprint(cb) != fmt.Sprint(wb) {
-			t.Fatalf("rule %v: cached resolution differs from direct", rule)
-		}
-		// Second call must hit.
-		before := c.Stats().Hits
-		c.ResolvePair(a, b, da, db, rule)
-		if c.Stats().Hits != before+1 {
-			t.Fatalf("rule %v: repeat resolve did not hit", rule)
-		}
+	// The prepare tier keys by (digest, rule) and never aliases the clip
+	// tier's entries for the same digest.
+	p1 := c.Prepared(da, engine.EvenOdd, compute)
+	p2 := c.Prepared(da, engine.EvenOdd, compute)
+	c.Prepared(da, engine.NonZero, compute)
+	if n != 6 {
+		t.Fatalf("prepare tier: %d computes, want 6", n)
 	}
-	// NonZero and Positive share the winding resolution family: one entry.
-	before := c.Stats()
-	c.ResolvePair(a, b, da, db, engine.Positive)
-	if s := c.Stats(); s.Misses != before.Misses || s.Hits != before.Hits+1 {
-		t.Fatal("winding rules should share one resolve-tier entry")
+	if fmt.Sprint(p1) != fmt.Sprint(p2) {
+		t.Fatal("cached canonical form differs from computed value")
 	}
 }
 

@@ -1,193 +1,236 @@
-// Package arrange pre-resolves operand arrangements for the scanbeam
-// engines. A Vatti-style sweep assumes that between two consecutive event
-// scanlines no two active edges cross; raw inputs violate that in two ways
-// the event schedule alone cannot repair. Self-intersecting rings (bowties,
-// polygrams) carry boundary whose even-odd multiplicity differs from the
-// ring walk, and near-collinear crossings computed in floating point land in
-// the wrong scanbeam — the shallower the angle, the further the computed
-// intersection drifts along the edges, so scheduling the intersection's y is
-// not enough to keep the beam orders consistent.
+// Package arrange is the one place operand arrangements are split and
+// welded. Every engine sweeps, and the overlay engine classifies, the planar
+// arrangement Resolve returns instead of raw input. Raw inputs break a sweep
+// in two ways that an event schedule alone cannot repair. Self-intersecting
+// rings (bowties, polygrams) carry boundary whose even-odd multiplicity
+// differs from the ring walk. And near-collinear crossings computed in
+// floating point land in the wrong scanbeam: the shallower the angle, the
+// further the computed intersection drifts along the edges, so scheduling
+// the intersection's y is not enough to keep the beam orders consistent.
 //
-// Resolve and ResolvePair remove both hazards at the source, the standard
-// snap-rounding route (cf. CGAL's arrangement preprocessing): every edge is
-// split at every intersection point found by the internal/isect finders, all
-// vertices are welded onto one power-of-two grid at geom.RelEps of the data
-// extent, and operands that genuinely self-intersect have their simple
-// even-odd boundary re-extracted with the robust orientation predicate.
-// After resolution, edges meet only at shared exact vertices, so a sweep
-// whose events are the endpoint ys sees no crossing strictly inside any
-// beam.
+// Resolve removes both hazards at the source, the standard snap-rounding
+// route (cf. CGAL's arrangement preprocessing). Every vertex is welded onto
+// the caller's power-of-two snap grid. Every edge is split at every
+// intersection point the internal/isect grid finder reports, each split
+// point pulled onto a parent-edge endpoint within two grid steps and welded
+// too. Where a weld lands a vertex on another edge, that edge is split in
+// turn, until no edge meets another anywhere but at a shared vertex.
+// Operands that genuinely self-intersect then have their simple even-odd
+// boundary re-extracted with the robust orientation predicate (EvenOdd
+// only). A sweep whose events are the endpoint ys therefore sees no
+// crossing strictly inside any beam.
 package arrange
 
 import (
 	"math"
 	"sort"
 
+	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 	"polyclip/internal/isect"
 	"polyclip/internal/ringstitch"
 )
 
-// Resolve returns a polygon covering the same even-odd point set as p whose
-// rings are split at every self-intersection and welded onto the relative
-// snap grid; when p self-intersects (edges crossing in their interiors or
-// overlapping collinearly) the simple even-odd boundary is re-extracted, so
-// the result's rings cross only at shared vertices. Inputs that are already
-// resolved are returned unchanged, without copying.
-func Resolve(p geom.Polygon) geom.Polygon {
-	out, _, changed := resolve([]geom.Polygon{p}, false, false)
-	if !changed {
-		return p
+// maxRounds bounds the scans of one Resolve. A clean arrangement takes one
+// scan, a split one a second scan that verifies the pieces; only a weld
+// that lands a vertex on another edge needs a third, and over the test
+// suite and the chaos sweeps none has needed a fourth.
+const maxRounds = 8
+
+// Resolve jointly resolves the operands a and b (b may be nil to resolve a
+// single operand) and returns them with the crossing estimate.
+//
+// Afterwards every vertex lies on the eps grid (eps <= 0 means
+// geom.AutoSnapEps(a, b)) and no two edges of either operand meet except
+// at a vertex both share; coincident edges are split at the same vertices,
+// so they are identical. Under EvenOdd, an operand whose own edges cross or
+// overlap is rewritten as its simple even-odd boundary. The winding rules
+// keep every ring directed as given, because re-extraction collapses
+// coincident edges by parity and destroys the winding multiplicity a
+// signed-count walk needs. Rings that degenerate on the grid (fewer than
+// three distinct vertices, or all on one line) are dropped. An operand that
+// is already on the grid and meets nothing but at shared vertices is
+// returned unchanged, without copying.
+//
+// The int counts the non-disjoint candidate pairs the first scan evaluated,
+// an estimate of the arrangement's intersection count k that comes for free
+// because the scan computes every candidate's exact intersection anyway. It
+// is the output-size signal the paper's output-sensitive processor
+// allocation keys on: internal/core derives its slab count from it. It is
+// not an exact k: candidates spanning several grid cells are counted more
+// than once, and endpoint touches count alongside genuine crossings, so
+// consecutive ring edges floor it at roughly the edge count. It still grows
+// with arrangement density, which is all a slab heuristic needs.
+func Resolve(a, b geom.Polygon, rule engine.FillRule, eps float64) (geom.Polygon, geom.Polygon, int) {
+	if eps <= 0 {
+		eps = geom.AutoSnapEps(a, b)
 	}
-	return out[0]
+	g := newGrid(eps)
+	ops := [2]geom.Polygon{g.polygon(a), g.polygon(b)}
+	var clean [2][][]bool // nil until the first scan has checked every edge
+	var selfX [2]bool
+	crossings := 0
+	for round := 0; round < maxRounds; round++ {
+		segs, owners, segClean := flatten(ops, clean)
+		cuts, n := findCuts(segs, owners, segClean, g, &selfX)
+		if round == 0 {
+			crossings = n
+		}
+		if cuts == nil {
+			break
+		}
+		ops, clean = rebuild(ops, cuts)
+	}
+	// Re-extraction only selects and re-links existing edges, so the
+	// arrangement stays planar.
+	if rule == engine.EvenOdd {
+		for oi := range ops {
+			if selfX[oi] {
+				ops[oi] = extractEvenOdd(ops[oi].Edges())
+			}
+		}
+	}
+	return ops[0], ops[1], crossings
 }
 
-// ResolveWinding is Resolve for winding-rule (NonZero/Positive/Negative)
-// sweeps: edges are split at every intersection and welded onto the shared
-// grid exactly as Resolve does, but self-intersecting operands keep their
-// rebuilt rings with their original directions instead of having the simple
-// even-odd boundary re-extracted. Re-extraction collapses coincident edges
-// by parity, destroying the winding multiplicity a signed-count walk needs;
-// a downstream sweep still meets crossings only at shared exact vertices.
-func ResolveWinding(p geom.Polygon) geom.Polygon {
-	out, _, changed := resolve([]geom.Polygon{p}, true, false)
-	if !changed {
-		return p
-	}
-	return out[0]
-}
-
-// ResolvePair resolves two operands jointly: edges of either operand are
-// split at their intersections with every other edge — their own operand's
-// or the other's — and all vertices weld onto one shared grid, so a
-// downstream sweep of the union of both edge sets meets crossings only at
-// shared exact vertices. Operand pairs that only touch at shared vertices
-// (or not at all) are returned unchanged, without copying.
+// ResolvePair is Resolve(a, b, engine.EvenOdd, 0) without the estimate.
+//
+// Deprecated: call Resolve. Kept only for the perfbench harness, which
+// times the arrangement layer through this name.
 func ResolvePair(a, b geom.Polygon) (geom.Polygon, geom.Polygon) {
-	a, b, _ = ResolvePairEstimate(a, b)
+	a, b, _ = Resolve(a, b, engine.EvenOdd, 0)
 	return a, b
 }
 
-// ResolvePairEstimate is ResolvePair returning, in addition, the number of
-// non-disjoint candidate pairs the fused pre-scan evaluated — an estimate of
-// the arrangement's intersection count k, available for free because the
-// pre-scan already computes every candidate's exact intersection. It is the
-// output-size signal the paper's output-sensitive processor allocation keys
-// on: internal/core derives its slab count from it instead of from a fixed
-// multiple of the thread count. The count is an estimate, not an exact k —
-// candidates spanning several grid cells are streamed (and so counted) more
-// than once, and endpoint touches count alongside genuine crossings, so
-// consecutive ring edges floor it at roughly the edge count even for
-// disjoint operands — but it grows with arrangement density, which is all a
-// slab heuristic needs.
-func ResolvePairEstimate(a, b geom.Polygon) (geom.Polygon, geom.Polygon, int) {
-	out, k, changed := resolve([]geom.Polygon{a, b}, false, false)
-	if !changed {
-		return a, b, k
+// grid is the weld: quantization onto a power-of-two lattice. It is a pure
+// function of the coordinate, so the same arrangement vertex reached
+// through different edges lands on the identical representative, and it
+// rounds exactly as geom.SnapPolygon does, so geometry a caller snapped
+// onto the same grid arrives bit-identical. An unusable step (an infinite
+// extent) leaves points where they are.
+type grid struct{ eps, inv float64 }
+
+func newGrid(eps float64) grid {
+	if math.IsInf(eps, 0) || math.IsNaN(eps) {
+		return grid{}
 	}
-	return out[0], out[1], k
+	return grid{eps: eps, inv: 1 / eps}
 }
 
-// ResolvePairWinding is ResolvePair for winding-rule sweeps: joint
-// split-and-weld with ring directions preserved (no even-odd re-extraction of
-// self-intersecting operands — see ResolveWinding).
-func ResolvePairWinding(a, b geom.Polygon) (geom.Polygon, geom.Polygon) {
-	out, _, changed := resolve([]geom.Polygon{a, b}, true, false)
-	if !changed {
-		return a, b
+func (g grid) snap(p geom.Point) geom.Point {
+	if g.eps == 0 {
+		return p
 	}
-	return out[0], out[1]
+	return geom.Point{X: math.Round(p.X*g.inv) * g.eps, Y: math.Round(p.Y*g.inv) * g.eps}
 }
 
-// ResolvePairPrepared is ResolvePair for a prepared subject (see
-// engine.Options.Prepared): a is promised to be already self-resolved — its
-// own edges meet only at shared exact vertices, as internal/prepared's
-// canonicalization guarantees — so every a↔a candidate pair is skipped
-// without evaluating its intersection. Crossings between a and b, and b's
-// own self-intersections, are split and welded exactly as ResolvePair does.
-// For a large prepared layer against a small clip window the pre-scan's
-// candidate stream is dominated by the layer's own adjacent-edge pairs, so
-// the skip removes most of the per-clip resolution cost that remains after
-// preparation.
-func ResolvePairPrepared(a, b geom.Polygon) (geom.Polygon, geom.Polygon) {
-	out, _, changed := resolve([]geom.Polygon{a, b}, false, true)
-	if !changed {
-		return a, b
+// polygon welds p onto the grid (geom.SnapPolygon: consecutive duplicates
+// merged, rings under three vertices dropped) and drops rings the weld
+// leaves on one line. Welding can flatten a ring whose true extent is below
+// the grid step (an extreme-aspect sliver next to a much larger operand).
+// Such a ring covers no area under any fill rule, but its coincident edges
+// poison a sweep's winding walk. A polygon with nothing to change is
+// returned as is; rings of fewer than three vertices, which no scan sees,
+// then pass through too.
+func (g grid) polygon(p geom.Polygon) geom.Polygon {
+	if g.holds(p) {
+		return p
 	}
-	return out[0], out[1]
+	out := make(geom.Polygon, 0, len(p))
+	for _, r := range geom.SnapPolygon(p, g.eps) {
+		if !ringCollinear(r) {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
-// ResolvePairPreparedWinding is ResolvePairPrepared for winding-rule sweeps:
-// the a↔a skip with ring directions preserved (see ResolvePairWinding).
-func ResolvePairPreparedWinding(a, b geom.Polygon) (geom.Polygon, geom.Polygon) {
-	out, _, changed := resolve([]geom.Polygon{a, b}, true, true)
-	if !changed {
-		return a, b
+// holds reports whether every ring of p with three or more vertices is
+// already on the grid, free of consecutive duplicates and not collinear.
+func (g grid) holds(p geom.Polygon) bool {
+	for _, r := range p {
+		if len(r) < 3 {
+			continue
+		}
+		for i, pt := range r {
+			if g.snap(pt) != pt || pt == r[(i+1)%len(r)] {
+				return false
+			}
+		}
+		if ringCollinear(r) {
+			return false
+		}
 	}
-	return out[0], out[1]
+	return true
 }
 
-// resolve is the shared implementation: ops is one polygon (Resolve) or an
-// operand pair (ResolvePair). winding keeps the rebuilt rings of
-// self-intersecting operands directed as given instead of re-extracting
-// their even-odd boundary. trustSelf0 promises operand 0 is already
-// self-resolved: its own candidate pairs are skipped outright (see
-// ResolvePairPrepared). The int counts the non-disjoint candidate pairs the
-// pre-scan evaluated (see ResolvePairEstimate). The boolean reports whether
-// anything changed; when false the caller keeps its originals and no
-// allocation is retained.
-func resolve(ops []geom.Polygon, winding, trustSelf0 bool) ([]geom.Polygon, int, bool) {
-	// Flatten every ring of every operand into one edge soup, remembering
-	// which operand each edge belongs to so self-intersection is detected
-	// per operand.
-	var segs []geom.Segment
-	var owners []int
+// flatten lists the edges of both operands' rings of three or more
+// vertices, in ring order, with the operand (0 or 1) each belongs to and
+// whether it is clean: unchanged since a scan checked it against every
+// other edge. A nil clean table marks every edge dirty.
+func flatten(ops [2]geom.Polygon, clean [2][][]bool) ([]geom.Segment, []uint8, []bool) {
+	n := ops[0].NumVertices() + ops[1].NumVertices()
+	segs := make([]geom.Segment, 0, n)
+	owners := make([]uint8, 0, n)
+	var segClean []bool
+	if clean[0] != nil || clean[1] != nil {
+		segClean = make([]bool, 0, n)
+	}
 	for oi, p := range ops {
-		for _, r := range p {
+		for ri, r := range p {
 			if len(r) < 3 {
 				continue
 			}
-			n := len(r)
-			for i := 0; i < n; i++ {
+			for i := range r {
 				j := i + 1
-				if j == n {
+				if j == len(r) {
 					j = 0
 				}
 				if r[i] == r[j] {
 					continue
 				}
 				segs = append(segs, geom.Segment{A: r[i], B: r[j]})
-				owners = append(owners, oi)
+				owners = append(owners, uint8(oi))
+				if clean[oi] != nil {
+					segClean = append(segClean, clean[oi][ri][i])
+				}
 			}
 		}
 	}
-	if len(segs) < 2 {
-		return ops, 0, false
-	}
+	return segs, owners, segClean
+}
 
-	// Fast-path pre-scan fused with cut collection: stream the grid finder's
-	// candidate pairs (self and cross-operand alike; the grid handles
-	// horizontal edges, which the scanbeam finder must not see) and evaluate
-	// each candidate's intersection exactly once. Cut points per edge: every
-	// intersection point strictly inside an edge splits it there.
-	// SegIntersection snaps near-endpoint crossings onto the endpoint
-	// exactly, so a point distinct from both endpoints is a genuine interior
-	// split. An operand needs even-odd re-extraction when two of its own
-	// edges meet anywhere beyond a shared endpoint.
-	//
-	// The per-edge cut table is allocated lazily, on the first genuine split:
-	// operands that only touch at shared vertices — the common clean
-	// GIS-style case — complete the scan without materializing a pair list,
-	// per-pair verification callbacks, or any per-edge state, and return
-	// unchanged. Candidates sharing several grid cells are streamed more than
-	// once; the logic below is idempotent under revisits (duplicate cut
-	// points collapse in the rebuild's push dedup, the booleans are sticky).
+// findCuts streams the grid finder's candidate pairs (self and
+// cross-operand alike; the grid handles horizontal edges, which the
+// scanbeam finder must not see), skipping pairs of two clean edges, and
+// evaluates each candidate's exact intersection. Every intersection
+// point is pulled onto a nearby parent endpoint (weldNearVertex) and
+// welded; a welded point distinct from both endpoints of an edge cuts that
+// edge there. An operand is marked in selfX when two of its own edges meet
+// anywhere beyond a shared endpoint. The int counts the non-disjoint
+// candidates (see Resolve).
+//
+// The cut table is allocated lazily, on the first cut: arrangements that
+// only touch at shared vertices — the common clean GIS-style case —
+// complete the scan without materializing any per-edge state. Candidates
+// sharing several grid cells are streamed more than once; the logic is
+// idempotent under revisits (duplicate cut points collapse in rebuild's
+// dedup, selfX is sticky).
+func findCuts(segs []geom.Segment, owners []uint8, clean []bool, g grid, selfX *[2]bool) ([][]geom.Point, int) {
 	var cuts [][]geom.Point
-	var selfX [2]bool
-	anySelf := false
-	crossings := 0
+	cut := func(e int32, pt geom.Point) bool {
+		if pt == segs[e].A || pt == segs[e].B {
+			return false
+		}
+		if cuts == nil {
+			cuts = make([][]geom.Point, len(segs))
+		}
+		cuts[e] = append(cuts[e], pt)
+		return true
+	}
+	n := 0
 	isect.VisitCandidatePairs(segs, func(i, j int32) bool {
-		if trustSelf0 && owners[i] == 0 && owners[j] == 0 {
+		if clean != nil && clean[i] && clean[j] {
 			return true
 		}
 		si, sj := segs[i], segs[j]
@@ -195,115 +238,101 @@ func resolve(ops []geom.Polygon, winding, trustSelf0 bool) ([]geom.Polygon, int,
 		if kind == geom.Disjoint {
 			return true
 		}
-		crossings++
+		n++
 		pts := [2]geom.Point{p0, p1}
 		npts := 1
 		if kind == geom.Overlapping {
 			npts = 2
 		}
 		interior := kind == geom.Overlapping
-		for k := 0; k < npts; k++ {
-			pt := pts[k]
-			if pt != si.A && pt != si.B {
-				if cuts == nil {
-					cuts = make([][]geom.Point, len(segs))
-				}
-				cuts[i] = append(cuts[i], pt)
-				interior = true
-			}
-			if pt != sj.A && pt != sj.B {
-				if cuts == nil {
-					cuts = make([][]geom.Point, len(segs))
-				}
-				cuts[j] = append(cuts[j], pt)
-				interior = true
-			}
+		for _, pt := range pts[:npts] {
+			pt = g.snap(weldNearVertex(pt, si, sj, g.eps))
+			ci := cut(i, pt)
+			cj := cut(j, pt)
+			interior = interior || ci || cj
 		}
 		if interior && owners[i] == owners[j] {
 			selfX[owners[i]] = true
-			anySelf = true
 		}
 		return true
 	})
-	if cuts == nil && !anySelf {
-		return ops, crossings, false
-	}
-	if cuts == nil {
-		// Collinear same-owner overlaps with no interior split still force
-		// the re-extraction path; the rebuild below indexes the cut table.
-		cuts = make([][]geom.Point, len(segs))
-	}
+	return cuts, n
+}
 
-	weld := weldFunc(segs)
+// weldNearVertex pulls an intersection point onto a nearby endpoint of
+// either parent edge. Snap rounding demands it: a crossing that lands
+// within a cell or two of an existing vertex (a near-tangency, e.g. one
+// polygon's apex grazing the other's edge) otherwise rounds to a grid
+// point *adjacent* to that vertex, leaving the vertex in the interior of a
+// sub-segment with no node there. Welding onto the endpoint turns the
+// near-tangency into an exact T-vertex instead.
+func weldNearVertex(q geom.Point, e1, e2 geom.Segment, eps float64) geom.Point {
+	lim := 2 * eps
+	best, bestD := q, lim*lim
+	for _, v := range [4]geom.Point{e1.A, e1.B, e2.A, e2.B} {
+		dx, dy := q.X-v.X, q.Y-v.Y
+		if d := dx*dx + dy*dy; d < bestD {
+			best, bestD = v, d
+		}
+	}
+	return best
+}
 
-	// Rebuild every ring with its split vertices inserted in order along
-	// each edge, everything welded, consecutive duplicates dropped. The
-	// iteration mirrors the flattening loop above so the cut lists line up.
-	out := make([]geom.Polygon, len(ops))
+// rebuild re-walks every ring with its cut points inserted in order along
+// each edge, consecutive duplicates merged and degenerate rings dropped (as
+// in grid.polygon). The iteration mirrors flatten so the cut lists line up.
+// It returns the new clean table: an edge no cut touched stays clean, every
+// piece of a cut edge is dirty until the next scan.
+func rebuild(ops [2]geom.Polygon, cuts [][]geom.Point) ([2]geom.Polygon, [2][][]bool) {
+	var out [2]geom.Polygon
+	var clean [2][][]bool
 	ei := 0
 	for oi, p := range ops {
-		var np geom.Polygon
 		for _, r := range p {
 			if len(r) < 3 {
 				continue
 			}
-			var nr geom.Ring
-			push := func(pt geom.Point) {
-				if len(nr) == 0 || nr[len(nr)-1] != pt {
-					nr = append(nr, pt)
+			nr := make(geom.Ring, 0, len(r))
+			nc := make([]bool, 0, len(r))
+			push := func(pt geom.Point, ok bool) {
+				if len(nr) > 0 && nr[len(nr)-1] == pt {
+					nc[len(nc)-1] = nc[len(nc)-1] && ok
+					return
 				}
+				nr = append(nr, pt)
+				nc = append(nc, ok)
 			}
-			n := len(r)
-			for i := 0; i < n; i++ {
+			for i := range r {
 				j := i + 1
-				if j == n {
+				if j == len(r) {
 					j = 0
 				}
 				if r[i] == r[j] {
 					continue
 				}
-				seg := segs[ei]
-				push(weld(seg.A))
 				cs := cuts[ei]
+				ei++
+				push(r[i], len(cs) == 0)
 				if len(cs) > 1 {
-					d := seg.B.Sub(seg.A)
+					a, d := r[i], r[j].Sub(r[i])
 					sort.Slice(cs, func(x, y int) bool {
-						return cs[x].Sub(seg.A).Dot(d) < cs[y].Sub(seg.A).Dot(d)
+						return cs[x].Sub(a).Dot(d) < cs[y].Sub(a).Dot(d)
 					})
 				}
 				for _, c := range cs {
-					push(weld(c))
+					push(c, false)
 				}
-				ei++
 			}
 			for len(nr) > 1 && nr[len(nr)-1] == nr[0] {
-				nr = nr[:len(nr)-1]
+				nr, nc = nr[:len(nr)-1], nc[:len(nc)-1]
 			}
-			// Welding can flatten a ring whose true extent is below the grid
-			// step onto a single line (an extreme-aspect sliver next to a much
-			// larger operand). Such a ring covers no area under any fill rule,
-			// but its coincident edges poison the sweep's parity walk, so it
-			// is dropped rather than passed on.
 			if len(nr) >= 3 && !ringCollinear(nr) {
-				np = append(np, nr)
-			}
-		}
-		out[oi] = np
-	}
-
-	// Re-extract the simple even-odd boundary of operands whose own edges
-	// cross or overlap; operands that were only split by the other operand
-	// keep their rebuilt rings (same rings, more vertices). Winding-rule
-	// callers skip re-extraction entirely: the signed-count walk needs the
-	// original ring directions and multiplicities that extraction collapses.
-	if !winding {
-		for oi := range out {
-			if selfX[oi] {
-				out[oi] = extractEvenOdd(out[oi].Edges())
+				out[oi] = append(out[oi], nr)
+				clean[oi] = append(clean[oi], nc)
 			}
 		}
 	}
-	return out, crossings, true
+	return out, clean
 }
 
 // ringCollinear reports whether every vertex of r lies on one line (the
@@ -316,30 +345,6 @@ func ringCollinear(r geom.Ring) bool {
 		}
 	}
 	return true
-}
-
-// weldFunc returns the vertex weld for the given edge soup: quantization
-// onto a power-of-two grid at geom.RelEps of the data extent. Quantization
-// is a pure function of the coordinate, so the same arrangement vertex
-// reached through different edges always lands on the identical
-// representative, and a power-of-two step keeps binary-representable inputs
-// (integers, halves, ...) exact.
-func weldFunc(segs []geom.Segment) func(geom.Point) geom.Point {
-	box := geom.EmptyBBox()
-	for _, s := range segs {
-		box.Extend(s.A)
-		box.Extend(s.B)
-	}
-	scale := math.Max(box.Width(), box.Height())
-	scale = math.Max(scale, math.Max(math.Abs(box.MaxX), math.Abs(box.MaxY)))
-	scale = math.Max(scale, math.Max(math.Abs(box.MinX), math.Abs(box.MinY)))
-	if scale == 0 || math.IsInf(scale, 0) {
-		return func(p geom.Point) geom.Point { return p }
-	}
-	eps := math.Ldexp(1, int(math.Ceil(math.Log2(scale*geom.RelEps))))
-	return func(p geom.Point) geom.Point {
-		return geom.Point{X: math.Round(p.X/eps) * eps, Y: math.Round(p.Y/eps) * eps}
-	}
 }
 
 // extractEvenOdd recovers the simple boundary of the even-odd region covered

@@ -42,9 +42,8 @@ type Options struct {
 	// Rule is the fill rule for every per-pair clip.
 	Rule engine.FillRule
 	// Engine names the registry engine that clips each pair; it must be
-	// slab-hostable (single-threaded per pair). Default "vatti" — the
-	// sequential reference, whose PreResolved support lets cache-resolved
-	// operands skip the arrangement pass.
+	// slab-hostable (single-threaded per pair). Default "vatti", the
+	// sequential reference.
 	Engine string
 	// Threads bounds worker parallelism; <= 0 means all available CPUs.
 	Threads int
@@ -275,10 +274,7 @@ func pairClip(ctx context.Context, cache *acache.Cache, eng engine.Engine, opt O
 			c = nil
 		}
 		return c.Clip(da, db, op, opt.Rule, e.Name(), func() geom.Polygon {
-			ra, rb := c.ResolvePair(fa, fb, da, db, opt.Rule)
-			res, err := e.Clip(ctx, ra, rb, op, engine.Options{
-				Threads: 1, Rule: opt.Rule, PreResolved: true,
-			})
+			res, err := e.Clip(ctx, fa, fb, op, engine.Options{Threads: 1, Rule: opt.Rule})
 			if err != nil {
 				panic(err) // recovered above; carried as ClipError.Err
 			}

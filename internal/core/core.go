@@ -288,24 +288,19 @@ func ClipPairCtx(ctx context.Context, a, b geom.Polygon, op Op, opt Options) (ge
 	nslabs := opt.Slabs
 	st := &Stats{}
 	snapEps := geom.AutoSnapEps(a, b)
-	// Decompose the resolved, snapped pair — the same pre-pass every other
-	// engine's sweep starts from — not the raw operands. Two alignments
-	// must hold at once. First, the quantization ORDER must match the rest
-	// of the registry: joint pair resolution (split at every intersection,
-	// weld onto the shared grid, re-extract self-crossing operands) and
-	// only then the grid snap; snapping raw geometry first collapses
-	// sub-grid rings that the resolve pipeline would have re-extracted,
-	// and the result measurably diverges from the other engines on
-	// coarse-grid (mixed-extent) pairs. Second, slab cuts are placed at
-	// event ys and each slab host re-snaps its band onto this same grid —
-	// after this pre-pass every event y is a grid value (so cut lines and
-	// the caps they produce quantize identically in adjacent hosts) and
-	// every cut still passes exactly through the vertices that generated
-	// it, which seam cancellation in the merge relies on.
+	// Decompose the resolved pair — the same arrange.Resolve pre-pass every
+	// other engine's sweep starts from, welded onto this run's grid — not
+	// the raw operands. Two alignments must hold at once. First, the slab
+	// result must quantize like the rest of the registry: decomposing raw
+	// geometry measurably diverges from the other engines on coarse-grid
+	// (mixed-extent) pairs. Second, slab cuts are placed at event ys and
+	// each slab host re-snaps its band onto this same grid — after this
+	// pre-pass every event y is a grid value (so cut lines and the caps
+	// they produce quantize identically in adjacent hosts) and every cut
+	// still passes exactly through the vertices that generated it, which
+	// seam cancellation in the merge relies on.
 	var crossings int
-	a, b, crossings = arrange.ResolvePairEstimate(a, b)
-	a = geom.SnapPolygon(a, snapEps)
-	b = geom.SnapPolygon(b, snapEps)
+	a, b, crossings = arrange.Resolve(a, b, engine.EvenOdd, snapEps)
 	st.CrossingEstimate = crossings
 	eng := slabEngine(opt)
 

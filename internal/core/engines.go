@@ -17,16 +17,16 @@ import (
 // handles them natively.
 //
 // The operands are first welded jointly onto the pair's shared snap grid
-// (ResolvePairWinding). Resolving each operand in isolation would pick a
-// grid from that operand's own extent; when the extents differ by many
-// orders of magnitude the lone-operand arrangement diverges from the pair
-// arrangement every other engine sweeps, and the slab result drifts
-// outside the cross-engine agreement tolerance.
+// (arrange.Resolve under the rule). Resolving each operand in isolation
+// would pick a grid from that operand's own extent; when the extents
+// differ by many orders of magnitude the lone-operand arrangement diverges
+// from the pair arrangement every other engine sweeps, and the slab result
+// drifts outside the cross-engine agreement tolerance.
 func normalizePairRule(a, b geom.Polygon, rule engine.FillRule) (geom.Polygon, geom.Polygon) {
 	if rule == engine.EvenOdd {
 		return a, b
 	}
-	ra, rb := arrange.ResolvePairWinding(a, b)
+	ra, rb, _ := arrange.Resolve(a, b, rule, 0)
 	return vatti.ClipRule(ra, nil, engine.Union, rule), vatti.ClipRule(rb, nil, engine.Union, rule)
 }
 

@@ -15,7 +15,7 @@ type Stats struct {
 	Engine string `json:"engine,omitempty"`
 	Slabs  int    `json:"slabs"` // number of slabs actually used
 	// CrossingEstimate is the arrangement pre-scan's intersection-count
-	// estimate (arrange.ResolvePairEstimate) that the adaptive slab count is
+	// estimate (arrange.Resolve) that the adaptive slab count is
 	// derived from; 0 when the engine does not run the pre-scan.
 	CrossingEstimate int             `json:"crossingEstimate,omitempty"`
 	Sort             time.Duration   `json:"sortNs"`                // Step 1–2: event sort

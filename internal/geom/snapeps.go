@@ -31,8 +31,8 @@ func AutoSnapEps(a, b Polygon) float64 {
 }
 
 // SnapPolygon quantizes every vertex onto the eps grid — the same rounding
-// the overlay engine applies before pair finding, so geometry snapped here
-// and geometry snapped inside a downstream sweep quantize identically.
+// arrange.Resolve welds with, so geometry snapped here and geometry
+// resolved inside a downstream sweep quantize identically.
 // Consecutive duplicate vertices are merged and rings that degenerate below
 // three distinct vertices are dropped. eps <= 0 returns p unchanged.
 func SnapPolygon(p Polygon, eps float64) Polygon {

@@ -336,9 +336,21 @@ func GridPairs(edges []geom.Segment, p int) []Pair {
 // cell; callers must be idempotent. This is the counting/pre-scan mode of
 // the grid finder: the arrangement fast path uses it to detect "no
 // resolution needed" without materializing, verifying, or deduplicating a
-// pair list.
+// pair list. Below smallScan edges the grid costs more than it saves, and
+// every bbox-overlapping pair is visited once instead.
 func VisitCandidatePairs(edges []geom.Segment, visit func(i, j int32) bool) {
-	if len(edges) < 2 {
+	n := int32(len(edges))
+	if n < 2 {
+		return
+	}
+	if n <= smallScan {
+		for i := int32(0); i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if bboxOverlap(edges[i], edges[j]) && !visit(i, j) {
+					return
+				}
+			}
+		}
 		return
 	}
 	g := buildGrid(edges)
@@ -358,6 +370,10 @@ func VisitCandidatePairs(edges []geom.Segment, visit func(i, j int32) bool) {
 		}
 	}
 }
+
+// smallScan is the edge count up to which VisitCandidatePairs tests all
+// pairs instead of building a grid.
+const smallScan = 64
 
 // ScanbeamPairs returns every intersecting pair using the paper's
 // scanbeam-inversion method with parallelism p. Cost is

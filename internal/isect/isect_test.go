@@ -99,6 +99,26 @@ func TestFindersAgreeOnRandomInputs(t *testing.T) {
 	}
 }
 
+// TestVisitCandidatePairsCoversIntersections: on both sides of smallScan
+// (all-pairs below it, the grid above), every intersecting pair is among
+// the visited candidates.
+func TestVisitCandidatePairsCoversIntersections(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range []int{smallScan / 2, smallScan, 4 * smallScan} {
+		edges := randomEdges(rng, n, 40)
+		seen := make(map[Pair]bool)
+		VisitCandidatePairs(edges, func(i, j int32) bool {
+			seen[canon(i, j)] = true
+			return true
+		})
+		for _, p := range BruteForcePairs(edges) {
+			if !seen[p] {
+				t.Errorf("n=%d: intersecting pair %v never visited", n, p)
+			}
+		}
+	}
+}
+
 func TestFindersAgreeOnPolygonEdges(t *testing.T) {
 	// Two overlapping regular polygons: all intersections are cross-polygon.
 	a := geom.RegularPolygon(geom.Point{X: 0, Y: 0}, 10, 12, 0.13)

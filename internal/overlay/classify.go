@@ -15,7 +15,7 @@ import (
 // non-horizontal segment, the left side is the smaller-x side (travelling
 // upward); for a horizontal segment it is the side above (travelling +x).
 // In both cases the flags are constant along the segment because the
-// subdivided arrangement has no interior crossings.
+// resolved arrangement has no interior crossings.
 //
 // Non-horizontal segments are classified with the parity prefix sums of
 // Lemma 3 in the first scanbeam they span. Horizontal segments span no beam;
@@ -102,7 +102,7 @@ func classifyBeam(segs []*useg, ys []float64, ids []int32, firstBeam []int, b in
 // classifyHorizontals sets the above-side parities of horizontal segments.
 // The insideness immediately above a horizontal segment h = [x1, x2] at
 // height y equals the crossing parity, along the line just above y, of the
-// segments in the beam above with x(y) <= x1: after subdivision no segment
+// segments in the beam above with x(y) <= x1: after resolution no segment
 // crosses the open strip above h, and segments emanating from h's endpoints
 // count consistently on both sides.
 func classifyHorizontals(ctx context.Context, segs []*useg, ys []float64, beams [][]int32, p int) {

@@ -1,23 +1,26 @@
 // Package overlay implements general polygon clipping — intersection, union,
 // difference and symmetric difference of arbitrary (concave,
-// multi-contour, self-intersecting) polygons under the even-odd fill rule.
+// multi-contour, self-intersecting) polygons under every fill rule
+// (EvenOdd, NonZero, Positive, Negative).
 //
 // The engine is the practical realization of the paper's Algorithm 1:
 //
-//  1. Find all pairs of intersecting edges (the paper's Step 3.2 / Lemma 4;
-//     finder selectable: uniform grid or the scanbeam-inversion method).
-//  2. Subdivide every edge at its intersection points so that no two edges
-//     cross except at shared endpoints (the k and k' vertices).
-//  3. Decompose the plane into scanbeams and classify every sub-edge with
-//     the parity prefix sums of Lemmas 1–3: which polygons is the region
-//     immediately left of the edge inside of?
-//  4. Select the edges where the clipping operation changes value across
-//     the edge (Lemma 2's contributing edges), direct them so the result
+//  1. Resolve the pair's arrangement once (internal/arrange: the paper's
+//     Step 3.2 / Lemma 4 intersections, split and welded onto one grid), so
+//     no two edges cross except at shared vertices (the k and k' vertices).
+//  2. Fold the resolved edges into unique segments carrying each operand's
+//     signed winding contribution.
+//  3. Decompose the plane into scanbeams and classify every segment with
+//     the prefix sums of Lemmas 1–3, generalized to winding counts: how
+//     many times does each polygon wind around the region immediately left
+//     of the segment?
+//  4. Select the segments where the clipping operation changes value
+//     across them (Lemma 2's contributing edges), direct them so the result
 //     interior lies on their left, and stitch them into output rings
 //     (Step 3.4/Step 4's merge).
 //
-// Every stage but stitching runs in parallel over its natural units (pairs,
-// edges, scanbeams) with configurable parallelism.
+// Classification and selection run in parallel over their natural units
+// (scanbeams, segments) with configurable parallelism.
 package overlay
 
 import (
@@ -27,7 +30,6 @@ import (
 	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 	"polyclip/internal/guard"
-	"polyclip/internal/isect"
 	"polyclip/internal/par"
 )
 
@@ -40,17 +42,6 @@ const (
 	Union        = engine.Union        // subject ∪ clip
 	Difference   = engine.Difference   // subject − clip
 	Xor          = engine.Xor          // symmetric difference
-)
-
-// Finder selects the intersection-finding strategy.
-type Finder uint8
-
-// Available finders.
-const (
-	FinderGrid     Finder = iota // uniform-grid candidate filter (default)
-	FinderScanbeam               // the paper's scanbeam + inversion counting
-	FinderSweep                  // Bentley–Ottmann plane sweep (the paper's [2])
-	FinderBrute                  // O(n²); tests only
 )
 
 // FillRule aliases the canonical fill-rule type (see internal/engine).
@@ -71,10 +62,8 @@ type Options struct {
 	// Parallelism is the number of concurrent workers; <= 0 means
 	// GOMAXPROCS.
 	Parallelism int
-	// Finder selects the pair-finding strategy.
-	Finder Finder
-	// SnapEps is the vertex-identification tolerance; <= 0 means geom.Eps
-	// scaled to the input magnitude.
+	// SnapEps is the vertex grid the arrangement is welded onto; <= 0
+	// means geom.AutoSnapEps of the operands.
 	SnapEps float64
 	// Rule is the fill rule for interpreting both operands and the result.
 	Rule FillRule
@@ -88,10 +77,10 @@ func Clip(subject, clip geom.Polygon, op Op, opt Options) geom.Polygon {
 	return out
 }
 
-// ClipCtx is Clip with cooperative cancellation: the subdivision and
-// classification stages poll ctx and stop early, and a non-nil error
-// (ctx.Err()) is returned instead of a partial result. With an
-// already-satisfied context it behaves exactly like Clip.
+// ClipCtx is Clip with cooperative cancellation: the classification stage
+// polls ctx and stops early, and a non-nil error (ctx.Err()) is returned
+// instead of a partial result. With an already-satisfied context it
+// behaves exactly like Clip.
 func ClipCtx(ctx context.Context, subject, clip geom.Polygon, op Op, opt Options) (geom.Polygon, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -142,83 +131,30 @@ func ClipCtx(ctx context.Context, subject, clip geom.Polygon, op Op, opt Options
 		}
 	}
 
-	// Pre-resolve the pair jointly (no-op for operands that only touch at
-	// shared vertices, which is the common case). Interior crossings — an
-	// operand's own or between the operands — must not reach the
-	// subdivision stage as raw geometry. Self-crossings: when both operands
-	// share geometry (A∩A, shared borders), a self-crossing is found once
-	// per operand copy with the segment arguments in different orders, and
-	// SegIntersection is not bit-symmetric under argument swap — the twin
-	// split points can land in adjacent snap cells, breaking the winding
-	// symmetry between the operands and with it the even-odd parity (a
-	// polygram's A∩A loses the area around its crossings). Cross-operand
-	// crossings: subdivide snaps each split point independently, and a
-	// cluster of crossings a few cells apart (a near-flat sliver edge
-	// grazing the other operand's vertex) snaps to distinct grid points
-	// whose sub-segments still cross — a non-planar arrangement with
-	// unbalanced node degrees that stitching must drop. ResolvePair splits
-	// everything at every intersection and welds both operands onto one
-	// shared grid, so subdivide meets crossings only at shared exact
-	// vertices, which it never splits. ResolvePair re-extracts the even-odd
-	// boundary of self-crossing operands, so it must not run under the
-	// winding rules (NonZero/Positive/Negative), where winding multiplicity
-	// (same-direction overlapping rings, a pentagram's doubly-wound centre)
-	// is semantic.
-	if opt.Rule == EvenOdd {
-		subject, clip = arrange.ResolvePair(subject, clip)
-	} else {
-		// Winding rules get the winding-preserving joint resolve instead:
-		// both operands split-and-weld onto the pair's shared grid with ring
-		// directions (and hence winding multiplicity) intact. Beyond welding
-		// self-crossings, this matters when the snap grid is coarse relative
-		// to one operand (mixed-extent pairs): sub-eps slivers collapse here
-		// exactly as they do in every other engine's pair arrangement.
-		// Vertex snapping alone keeps such slivers at full width and the
-		// winding measure drifts from the rest of the registry.
-		subject, clip = arrange.ResolvePairWinding(subject, clip)
-	}
-
-	// Snap the inputs onto the eps grid before pair finding, so that
-	// nearly-coincident geometry (e.g. seam caps produced by slab
-	// decomposition in different workers) becomes exactly coincident and its
-	// overlaps are detected and cancelled, instead of being merged silently
-	// after the intersection pass.
-	subject = snapPolygon(subject, eps)
-	clip = snapPolygon(clip, eps)
-
-	edges, owners := gatherEdges(subject, clip)
-
-	finder := opt.Finder
-	if finder == FinderScanbeam && (hasHorizontalEdge(subject) || hasHorizontalEdge(clip)) {
-		// The scanbeam finder cannot see horizontal edges (they span no
-		// beam); the grid finder handles them natively.
-		finder = FinderGrid
-	}
-	var pairs []isect.Pair
-	switch finder {
-	case FinderScanbeam:
-		pairs = isect.ScanbeamPairs(edges, p)
-	case FinderSweep:
-		pairs = isect.SweepPairs(edges)
-	case FinderBrute:
-		pairs = isect.BruteForcePairs(edges)
-	default:
-		pairs = isect.GridPairs(edges, p)
-	}
+	// Resolve the pair jointly: every crossing or overlap, an operand's own
+	// or between the operands, becomes a shared vertex on the eps grid, so
+	// folding the edges by their endpoints yields the planar arrangement.
+	// One joint pass matters. When both operands share geometry (A∩A,
+	// shared borders), a self-crossing resolved per operand copy lands on
+	// the same welded vertex in both, keeping the winding symmetric between
+	// them. And a cluster of crossings a few cells apart (a near-flat sliver
+	// edge grazing the other operand's vertex) is split again wherever a
+	// weld lands a vertex on another edge, so no sub-segment crosses
+	// another. Under EvenOdd a self-crossing operand comes back as its
+	// simple even-odd boundary; the winding rules keep ring directions, and
+	// hence winding multiplicity (same-direction overlapping rings, a
+	// pentagram's doubly-wound centre), intact.
+	subject, clip, _ = arrange.Resolve(subject, clip, opt.Rule, eps)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	segs := subdivide(ctx, edges, owners, pairs, eps, p)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	segs := fold(subject, clip)
 	classify(ctx, segs, p)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	dirs := selectEdges(segs, op, opt.Rule, p)
-	return stitch(segs, dirs), nil
+	return stitch(dirs), nil
 }
 
 // finish discards a possibly-partial result when ctx was cancelled.
@@ -246,13 +182,11 @@ func resolveSelf(ctx context.Context, poly geom.Polygon, eps float64, rule FillR
 	if poly.NumVertices() == 0 {
 		return nil
 	}
-	poly = snapPolygon(poly, eps)
-	edges, owners := gatherEdges(poly, nil)
-	pairs := isect.GridPairs(edges, p)
-	segs := subdivide(ctx, edges, owners, pairs, eps, p)
+	poly, _, _ = arrange.Resolve(poly, nil, rule, eps)
+	segs := fold(poly, nil)
 	classify(ctx, segs, p)
 	dirs := selectEdges(segs, Xor, rule, p)
-	return stitch(segs, dirs)
+	return stitch(dirs)
 }
 
 // sanitize removes degenerate rings.
@@ -264,41 +198,4 @@ func sanitize(poly geom.Polygon) geom.Polygon {
 		}
 	}
 	return out
-}
-
-// hasHorizontalEdge reports whether any ring has an edge parallel to the
-// x-axis.
-func hasHorizontalEdge(poly geom.Polygon) bool {
-	for _, r := range poly {
-		for i := range r {
-			j := (i + 1) % len(r)
-			if r[i].Y == r[j].Y && r[i] != r[j] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// SnapEpsFor returns the default vertex-snapping tolerance for a pair of
-// operands — exported so the hardened pipeline can retry a failed clip on
-// a deliberately coarser grid.
-func SnapEpsFor(a, b geom.Polygon) float64 { return geom.AutoSnapEps(a, b) }
-
-// gatherEdges flattens both polygons into one edge list with an owner tag
-// per edge (0 = subject, 1 = clip).
-func gatherEdges(subject, clip geom.Polygon) ([]geom.Segment, []uint8) {
-	var edges []geom.Segment
-	for _, r := range subject {
-		edges = r.Edges(edges)
-	}
-	nSub := len(edges)
-	for _, r := range clip {
-		edges = r.Edges(edges)
-	}
-	owners := make([]uint8, len(edges))
-	for i := nSub; i < len(edges); i++ {
-		owners[i] = 1
-	}
-	return edges, owners
 }

@@ -6,16 +6,15 @@
 // O(lg N) window reject for line clipping, lifted to the whole layer).
 //
 // Preparation canonicalizes the subject once: the arrangement is resolved
-// (arrange.Resolve / ResolveWinding), swept through a union-with-empty pass
-// under the requested fill rule, and snapped onto the power-of-two grid
+// (arrange.Resolve) and swept through a union-with-empty pass under the
+// requested fill rule, and the result is snapped onto the power-of-two grid
 // (geom.SnapPolygon at geom.AutoSnapEps). The result is a simple even-odd
 // boundary — CCW outers, CW holes, edges meeting only at shared exact
 // vertices — whose even-odd reading equals the rule-R region of the source.
 // Every subsequent window clip therefore runs under even-odd semantics on
 // clean geometry, whatever rule the layer was prepared for, and the
-// downstream clippers (internal/shclip, internal/bandclip, internal/vatti
-// via engine.Options.Prepared) consume the pre-resolved subject instead of
-// re-resolving it per clip.
+// downstream clippers (internal/shclip, internal/bandclip) consume the
+// pre-resolved subject instead of re-resolving it per clip.
 //
 // A window clip then takes one of three routes, cheapest first:
 //
@@ -40,7 +39,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"polyclip/internal/arrange"
 	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 	"polyclip/internal/rtree"
@@ -138,19 +136,14 @@ func Prepare(p geom.Polygon, rule engine.FillRule) *Prepared {
 }
 
 // Canonicalize is the expensive half of Prepare, split out so callers can
-// memoize it (internal/acache's prepare tier): resolve the single operand
-// (reusing the same arrange.Resolve* pre-pass every engine sweeps), then a
-// union-with-empty sweep under the rule. The sweep turns any rule's region
-// into a simple even-odd boundary with ringstitch's canonical orientations
-// (CCW outers, CW holes) — the invariant every fast path leans on — and the
-// result is snapped onto the power-of-two grid.
+// memoize it (internal/acache's prepare tier): a union-with-empty sweep
+// under the rule, which resolves the single operand with the same
+// arrange.Resolve pre-pass every engine sweeps. The sweep turns any rule's
+// region into a simple even-odd boundary with ringstitch's canonical
+// orientations (CCW outers, CW holes) — the invariant every fast path leans
+// on — and the result is snapped onto the power-of-two grid.
 func Canonicalize(p geom.Polygon, rule engine.FillRule) geom.Polygon {
-	var canon geom.Polygon
-	if rule == engine.EvenOdd {
-		canon = vatti.ClipRuleResolved(arrange.Resolve(p), nil, engine.Union, engine.EvenOdd)
-	} else {
-		canon = vatti.ClipRuleResolved(arrange.ResolveWinding(p), nil, engine.Union, rule)
-	}
+	canon := vatti.ClipRule(p, nil, engine.Union, rule)
 	return geom.SnapPolygon(canon, geom.AutoSnapEps(canon, nil))
 }
 

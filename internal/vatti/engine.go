@@ -30,12 +30,6 @@ func (e clipEngine) Clip(ctx context.Context, a, b geom.Polygon, op engine.Op, o
 			return engine.Result{}, err
 		}
 	}
-	switch {
-	case opt.PreResolved:
-		return engine.Result{Polygon: ClipRuleResolved(a, b, op, opt.Rule)}, nil
-	case opt.Prepared:
-		return engine.Result{Polygon: ClipRulePrepared(a, b, op, opt.Rule)}, nil
-	}
 	return engine.Result{Polygon: ClipRule(a, b, op, opt.Rule)}, nil
 }
 

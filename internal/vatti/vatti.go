@@ -54,24 +54,6 @@ func ClipRule(subject, clip geom.Polygon, op Op, rule engine.FillRule) geom.Poly
 	return Assemble(TrapezoidsRule(subject, clip, op, rule))
 }
 
-// ClipRuleResolved is ClipRule for operands already put through the joint
-// arrangement resolution (arrange.ResolvePair / ResolvePairWinding for the
-// rule). The batch overlay's arrangement cache calls it to reuse resolved
-// operands across clips; the sweep runs directly on the given geometry.
-func ClipRuleResolved(subject, clip geom.Polygon, op Op, rule engine.FillRule) geom.Polygon {
-	return Assemble(trapezoidsRule(subject, clip, op, rule, resolveSkip))
-}
-
-// ClipRulePrepared is ClipRule for a prepared subject (engine.Options.
-// Prepared): the subject is promised self-resolved — internal/prepared's
-// canonicalization — while clip is an arbitrary window polygon. The joint
-// resolution still runs, but skips every subject↔subject candidate pair
-// (arrange.ResolvePairPrepared), so a big prepared layer clipped against a
-// 4-edge tile rectangle does not re-pay its own pre-scan on every tile.
-func ClipRulePrepared(subject, clip geom.Polygon, op Op, rule engine.FillRule) geom.Polygon {
-	return Assemble(trapezoidsRule(subject, clip, op, rule, resolvePrepared))
-}
-
 // Trapezoids computes the even-odd trapezoid decomposition of
 // `subject op clip` — the raw per-scanbeam output of the sweep, before
 // merging (GPC's tristrip analogue).
@@ -89,20 +71,6 @@ func Trapezoids(subject, clip geom.Polygon, op Op) []Trapezoid {
 // regenerated exactly as trapezoid caps. This sidesteps the paper's §III-C
 // perturbation without changing the result.
 func TrapezoidsRule(subject, clip geom.Polygon, op Op, rule engine.FillRule) []Trapezoid {
-	return trapezoidsRule(subject, clip, op, rule, resolveFull)
-}
-
-// resolveMode selects how much arrangement resolution trapezoidsRule runs
-// before the sweep, mirroring the engine.Options.PreResolved/Prepared seam.
-type resolveMode uint8
-
-const (
-	resolveFull     resolveMode = iota // full joint resolution
-	resolveSkip                        // pair already jointly resolved
-	resolvePrepared                    // subject self-resolved; skip its self pairs
-)
-
-func trapezoidsRule(subject, clip geom.Polygon, op Op, rule engine.FillRule, mode resolveMode) []Trapezoid {
 	subject = dropDegenerate(subject)
 	clip = dropDegenerate(clip)
 
@@ -114,23 +82,8 @@ func trapezoidsRule(subject, clip geom.Polygon, op Op, rule engine.FillRule, mod
 	// trapezoid corners inverted. Under EvenOdd, self-intersecting operands
 	// are additionally rewritten as simple even-odd rings; the winding rules
 	// keep the split rings directed as given, because the signed-count walk
-	// needs the original winding multiplicities. Callers that already
-	// resolved the pair (the arrangement cache) skip the pass; prepared
-	// subjects (internal/prepared) skip only their own self pairs.
-	switch mode {
-	case resolveFull:
-		if rule == engine.EvenOdd {
-			subject, clip = arrange.ResolvePair(subject, clip)
-		} else {
-			subject, clip = arrange.ResolvePairWinding(subject, clip)
-		}
-	case resolvePrepared:
-		if rule == engine.EvenOdd {
-			subject, clip = arrange.ResolvePairPrepared(subject, clip)
-		} else {
-			subject, clip = arrange.ResolvePairPreparedWinding(subject, clip)
-		}
-	}
+	// needs the original winding multiplicities.
+	subject, clip, _ = arrange.Resolve(subject, clip, rule, 0)
 
 	edges := scanbeam.CollectEdges(subject, clip)
 	if len(edges) == 0 {

@@ -7,9 +7,9 @@
 // multi-contour, and self-intersecting, under the even-odd fill rule. Three
 // execution strategies are provided:
 //
-//   - AlgoOverlay (default): a parallel subdivision/classification engine
-//     built from the paper's primitives (scanbeams, parity prefix sums,
-//     inversion-counting intersection detection).
+//   - AlgoOverlay (default): a parallel classification engine built from
+//     the paper's primitives (one arrangement pass, scanbeams, parity
+//     prefix sums).
 //   - AlgoSlabs: the paper's multi-threaded Algorithm 2 — the input is cut
 //     into horizontal slabs balanced by event count, each slab is clipped
 //     by a sequential engine, and the seams are stitched away.
@@ -71,7 +71,7 @@ type Algorithm uint8
 
 // Available algorithms.
 const (
-	// AlgoOverlay is the parallel subdivision engine (default).
+	// AlgoOverlay is the parallel classification engine (default).
 	AlgoOverlay Algorithm = iota
 	// AlgoSlabs is the paper's multi-threaded slab decomposition
 	// (Algorithm 2).

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"polyclip/internal/arrange"
+	"polyclip/internal/engine"
 	"polyclip/internal/geom"
 )
 
@@ -32,7 +33,8 @@ func TestSelfClipPolygram(t *testing.T) {
 	n := 5 + 2*rng.Intn(4)
 	a := Polygon{polygram(0, 0, 8+4*rng.Float64(), n, 2, rng.Float64())}
 
-	want := arrange.Resolve(geom.Polygon(a)).Area()
+	resolved, _, _ := arrange.Resolve(geom.Polygon(a), nil, engine.EvenOdd, 0)
+	want := resolved.Area()
 	if want <= 0 {
 		t.Fatalf("oracle area = %g, want positive", want)
 	}
